@@ -26,6 +26,12 @@ numerical agreement:
     count) must equal the reference engine's **bitwise** -- the
     strongest oracle in the battery, and the contract that keeps seeded
     corpora and cached baselines valid across backends.
+``diff.ode-compiled-vs-numpy``
+    The compiled mass-action kernel and the numpy reference path of
+    :class:`~repro.crn.kinetics.MassActionKinetics` perform the same
+    floating-point operations in the same order, so LSODA and BDF
+    trajectories integrated with either must be **bitwise** equal.
+    Skipped when the compiled kernel is unavailable.
 
 Every ensemble member's seed is spawned from one root
 :class:`numpy.random.SeedSequence` and reductions are payload-ordered,
@@ -37,7 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.conformance.metamorphic import CheckResult, _guarded, _Skip
-from repro.crn.simulation import SimulationOptions, simulate
+from repro.crn.simulation import OdeSimulator, SimulationOptions, simulate
 from repro.crn.simulation.sweep import ParallelSweepRunner
 from repro.errors import SimulationError
 
@@ -125,6 +131,39 @@ def check_batch_vs_reference(target, seed: int,
                         f"reference {run.meta['events']}")
         return None
     return _guarded("diff.batch-vs-reference", target.name, "ssa-batch",
+                    body)
+
+
+def check_ode_compiled_vs_numpy(target, seed: int,
+                                n_workers: int | None = None
+                                ) -> CheckResult:
+    """Compiled-kernel ODE trajectories must match the numpy path bitwise."""
+    def body():
+        for solver in ("LSODA", "BDF"):
+            runs = []
+            for reference in (False, True):
+                simulator = OdeSimulator(target.network, target.scheme,
+                                         method=solver)
+                kinetics = simulator.kinetics
+                if reference:
+                    kinetics.use_reference()
+                elif kinetics.backend != "compiled":
+                    raise _Skip("compiled kinetics kernel unavailable")
+                runs.append(simulator.simulate(target.t_final,
+                                               n_samples=33))
+            compiled, numpy_run = runs
+            if compiled.times.tobytes() != numpy_run.times.tobytes():
+                return (f"{solver}: sample times differ between the "
+                        f"compiled and numpy kinetics")
+            if compiled.states.tobytes() != numpy_run.states.tobytes():
+                row = int(np.argmax(np.any(
+                    compiled.states != numpy_run.states, axis=1)))
+                return (f"{solver}: compiled-kernel states diverge from "
+                        f"the numpy kinetics at sample {row} "
+                        f"(t={compiled.times[row]:g}); the two paths "
+                        f"must match bitwise")
+        return None
+    return _guarded("diff.ode-compiled-vs-numpy", target.name, "ode",
                     body)
 
 
@@ -234,6 +273,7 @@ def check_tau_vs_ssa(target, seed: int,
 DIFFERENTIAL_CHECKS = (
     check_ode_solvers,
     check_batch_vs_reference,
+    check_ode_compiled_vs_numpy,
     check_ssa_vs_ode,
     check_tau_vs_ssa,
 )

@@ -27,6 +27,7 @@ from repro.conformance.metamorphic import (ENGINE_SPECS,
                                            check_duplicate_merge,
                                            check_sampling_guard)
 from repro.conformance.oracles import (check_batch_vs_reference,
+                                       check_ode_compiled_vs_numpy,
                                        check_ode_solvers,
                                        check_ssa_vs_ode,
                                        check_tau_vs_ssa)
@@ -137,6 +138,7 @@ def _cells_for(target: Target, target_index: int, seed: int,
     add(check_ode_solvers, n_workers=n_workers)
     add(check_batch_vs_reference, n_workers=n_workers,
         n_runs=budget.n_runs)
+    add(check_ode_compiled_vs_numpy, n_workers=n_workers)
     add(check_ssa_vs_ode, n_workers=n_workers, n_runs=budget.n_runs)
     add(check_tau_vs_ssa, n_workers=n_workers, n_runs=budget.n_runs)
     return cells
@@ -190,9 +192,9 @@ def replay_network(network, *, name: str = "corpus",
 
     Used by ``tests/conformance/test_corpus_replay.py`` and the CLI's
     ``--replay`` mode: every metamorphic invariant on every applicable
-    engine, plus the cross-solver and bitwise batch-vs-reference
-    oracles -- cheap enough to run on every shrunk reproducer in
-    tier-1, forever.
+    engine, plus the cross-solver oracle and the bitwise
+    batch-vs-reference and compiled-vs-numpy kinetics oracles -- cheap
+    enough to run on every shrunk reproducer in tier-1, forever.
     """
     target = Target(name, network, CONFORMANCE_SCHEME,
                     t_final=t_final, stochastic=stochastic)
@@ -201,5 +203,5 @@ def replay_network(network, *, name: str = "corpus",
     # Drop the two *statistical* ensemble oracles (ssa-vs-ode and
     # tau-vs-ssa, the last two cells): statistically meaningless on
     # minimal reproducers and by far the slowest cells.  The bitwise
-    # batch-vs-reference oracle stays -- it is cheap and exact.
+    # oracles stay -- they are cheap and exact.
     return [cell() for cell in cells[:-2]]

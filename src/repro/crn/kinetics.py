@@ -23,6 +23,14 @@ over reactions.  Reactions of order >= 3 (or with a single exponent >= 3)
 fall back to a per-reaction loop over a CSR-style nonzero list; they are
 rare and the fallback touches only those rows.
 
+The final products ``S @ rate`` and ``S @ d(rate)/dx`` are sequential
+scatters over the stoichiometry nonzeros in one fixed order.  The ODE
+right-hand side and Jacobian run in the compiled kernel of
+:mod:`repro.crn.ckinetics`, which performs the same operations in the same
+order, whenever it builds; the numpy path (:meth:`reference_rhs`,
+:meth:`reference_jacobian`) is the reference it is bitwise equal to and
+the fallback when it does not build.
+
 :class:`DenseKineticsReference` keeps the straightforward dense
 implementation; the golden-equivalence test suite asserts both engines
 agree on every example network.
@@ -34,6 +42,7 @@ import math
 
 import numpy as np
 
+from repro.crn import ckinetics
 from repro.crn.network import Network
 
 
@@ -44,6 +53,13 @@ class MassActionKinetics:
 
     ``exponents`` / ``stoich``
         dense (R, S) exponent and (S, R) net-stoichiometry matrices.
+    ``rates``
+        a read-only private copy of the rate vector given at construction.
+    ``backend``
+        ``"compiled"`` or ``"numpy"``: which path :meth:`rhs` and
+        :meth:`jacobian` run.  It is chosen on first use and is
+        ``"numpy"`` only when the compiled kernel cannot be built, which
+        :func:`repro.crn.ckinetics.load` reports as a warning.
     ``jacobian_sparsity()``
         (S, S) 0/1 pattern of the state Jacobian, suitable for scipy's
         ``jac_sparsity`` argument to BDF/Radau.
@@ -53,11 +69,15 @@ class MassActionKinetics:
     """
 
     def __init__(self, network: Network, rates: np.ndarray):
-        rates = np.asarray(rates, dtype=float)
+        # A private copy: the compiled kernel and the folded Jacobian
+        # scales snapshot the rates, so a caller editing its own array
+        # afterwards must not reach some paths and not others.
+        rates = np.array(rates, dtype=float)
         if rates.shape != (network.n_reactions,):
             raise ValueError(
                 f"rate vector has shape {rates.shape}, expected "
                 f"({network.n_reactions},)")
+        rates.flags.writeable = False
         self.network = network
         self.rates = rates
         self.exponents = network.reactant_matrix()          # (R, S)
@@ -70,6 +90,9 @@ class MassActionKinetics:
             for j in range(network.n_reactions)
         ]
         self._compile()
+        # Evaluation path of rhs/jacobian, bound on first use.
+        self._backend: str | None = None
+        self._rhs = self._jacobian = None
 
     # -- compilation ---------------------------------------------------------
 
@@ -117,18 +140,51 @@ class MassActionKinetics:
         self._pair_same = pair_same
         self._generic_rows = np.array(generic, dtype=np.intp)
         self._generic_lists = [(j, self._reactant_lists[j]) for j in generic]
-        self._jac_rows = np.array(jac_r, dtype=np.intp)
-        self._jac_cols = np.array(jac_c, dtype=np.intp)
+        # The same generic rows as CSR arrays for the compiled kernel.
+        self._generic_ptr = np.cumsum(
+            [0] + [len(reactants) for _, reactants in self._generic_lists],
+            dtype=np.intp)
+        self._generic_species = np.array(
+            [s for _, reactants in self._generic_lists for s, _ in reactants],
+            dtype=np.intp)
+        self._generic_exp = np.array(
+            [e for _, reactants in self._generic_lists for _, e in reactants],
+            dtype=float)
         self._jac_gather = np.array(jac_g, dtype=np.intp)
         # rates never change after construction, so fold them in.
-        self._jac_scale = np.array(jac_coeff) * self.rates[self._jac_rows]
-        # Nonzero pattern of d(rate)/dx, including the generic rows.
+        self._jac_scale = np.array(jac_coeff) * self.rates[jac_r]
+        # Every nonzero of d(rate)/dx: the two-factor entries above, then
+        # the generic rows' entries in CSR order.  This order is the
+        # layout of the drate vector both evaluation paths fill.
+        drate_rows = np.array(
+            jac_r + [j for j, reactants in self._generic_lists
+                     for _ in reactants], dtype=np.intp)
+        drate_cols = np.concatenate(
+            [np.array(jac_c, dtype=np.intp), self._generic_species])
         pattern = np.zeros((n_r, n_s), dtype=bool)
-        pattern[self._jac_rows, self._jac_cols] = True
-        for j, reactants in self._generic_lists:
-            for s, _ in reactants:
-                pattern[j, s] = True
+        pattern[drate_rows, drate_cols] = True
         self._drate_pattern = pattern
+        # dx/dt = S @ rate as a scatter over S's nonzeros, row-major.
+        self._stoich_rows, self._stoich_cols = np.nonzero(self.stoich)
+        self._stoich_vals = self.stoich[self._stoich_rows, self._stoich_cols]
+        # J = S @ d(rate)/dx as a scatter of products: S nonzero (s, j)
+        # times each drate entry (j, c), added into J[s, c] in this order.
+        entries_of = [[] for _ in range(n_r)]
+        for k, j in enumerate(drate_rows.tolist()):
+            entries_of[j].append(k)
+        target: list[int] = []
+        coeff: list[float] = []
+        entry: list[int] = []
+        for s, j, value in zip(self._stoich_rows.tolist(),
+                               self._stoich_cols.tolist(),
+                               self._stoich_vals.tolist()):
+            for k in entries_of[j]:
+                target.append(s * n_s + int(drate_cols[k]))
+                coeff.append(value)
+                entry.append(k)
+        self._jprod_target = np.array(target, dtype=np.intp)
+        self._jprod_coeff = np.array(coeff, dtype=float)
+        self._jprod_entry = np.array(entry, dtype=np.intp)
         # Stochastic second-factor gather: slot fB for distinct factors,
         # slot (n_s + 1 + s) for the (x_s - 1)/2 half-pair factor of 2X.
         stoch_b = factor_b.copy()
@@ -137,9 +193,39 @@ class MassActionKinetics:
         # Reusable buffers (simulators are single-threaded per instance).
         self._xbuf = np.ones(n_s + 1)
         self._cbuf = np.ones(2 * (n_s + 1))
-        self._drate = np.zeros((n_r, n_s))
-        self._stoich_c = np.ascontiguousarray(self.stoich)
-        self._stoich_csr = None  # built lazily by jacobian_sparse
+
+    # -- evaluation path -----------------------------------------------------
+
+    @property
+    def backend(self) -> str:
+        """``"compiled"`` or ``"numpy"`` (selects the path on first use)."""
+        if self._backend is None:
+            self._select_backend()
+        return self._backend
+
+    def _select_backend(self) -> None:
+        module = ckinetics.load()
+        if module is None:
+            self.use_reference()
+            return
+        kernel = module.Kernel(
+            self.n_species, self._factor_a, self._factor_b, self.rates,
+            self._generic_rows, self._generic_ptr, self._generic_species,
+            self._generic_exp, self._stoich_rows, self._stoich_cols,
+            self._stoich_vals, self._jac_gather, self._jac_scale,
+            self._jprod_target, self._jprod_coeff, self._jprod_entry)
+        self._backend = "compiled"
+        self._rhs, self._jacobian = kernel.rhs, kernel.jacobian
+
+    def use_reference(self) -> None:
+        """Evaluate :meth:`rhs`/:meth:`jacobian` with the numpy path.
+
+        This is the fallback when the compiled kernel cannot be built;
+        the differential oracle that checks the two paths against each
+        other also calls it directly.
+        """
+        self._backend = "numpy"
+        self._rhs, self._jacobian = self.reference_rhs, self.reference_jacobian
 
     # -- deterministic -------------------------------------------------------
 
@@ -163,16 +249,40 @@ class MassActionKinetics:
         return m
 
     def rhs(self, t: float, x: np.ndarray) -> np.ndarray:
-        """ODE right-hand side ``dx/dt``."""
-        return self._stoich_c @ self.reaction_rates(x)
+        """ODE right-hand side ``dx/dt`` (a new array per call)."""
+        if self._rhs is None:
+            self._select_backend()
+        return self._rhs(x)
 
-    def _drate_values(self, x: np.ndarray) -> np.ndarray:
-        """Populate and return the cached d(rate)/dx scatter buffer."""
+    def jacobian(self, t: float, x: np.ndarray) -> np.ndarray:
+        """Analytic Jacobian ``d(dx/dt)/dx`` (a new dense array per call)."""
+        if self._jacobian is None:
+            self._select_backend()
+        return self._jacobian(x)
+
+    def reference_rhs(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`rhs` on the numpy path."""
+        weights = self._stoich_vals * self.reaction_rates(x)[self._stoich_cols]
+        # bincount adds the weights in order; with no weights at all it
+        # returns integers, hence the cast.
+        return np.bincount(self._stoich_rows, weights=weights,
+                           minlength=self.n_species).astype(float,
+                                                            copy=False)
+
+    def reference_jacobian(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`jacobian` on the numpy path."""
+        n_s = self.n_species
+        weights = self._jprod_coeff * self._drate_entries(x)[self._jprod_entry]
+        flat = np.bincount(self._jprod_target, weights=weights,
+                           minlength=n_s * n_s)
+        return flat.astype(float, copy=False).reshape(n_s, n_s)
+
+    def _drate_entries(self, x: np.ndarray) -> np.ndarray:
+        """The nonzero d(rate_j)/dx_s entries, in ``_compile``'s order."""
         xe = self._xbuf
         np.maximum(x, 0.0, out=xe[:self.n_species])
-        drate = self._drate
-        drate[self._jac_rows, self._jac_cols] = \
-            self._jac_scale * xe[self._jac_gather]
+        values = self._jac_scale * xe[self._jac_gather]
+        generic: list[float] = []
         for j, reactants in self._generic_lists:
             full = self.rates[j]
             for s, e in reactants:
@@ -180,19 +290,15 @@ class MassActionKinetics:
             for s, e in reactants:
                 xs = xe[s]
                 if xs > 0.0:
-                    drate[j, s] = full * e / xs
+                    generic.append(full * e / xs)
                 else:
                     others = self.rates[j]
                     for s2, e2 in reactants:
                         if s2 != s:
                             others *= xe[s2] ** e2
                     # For e >= 2 the derivative at x_s = 0 is 0.
-                    drate[j, s] = others if e == 1 else 0.0
-        return drate
-
-    def jacobian(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Analytic Jacobian ``d(dx/dt)/dx`` (dense array)."""
-        return self._stoich_c @ self._drate_values(x)
+                    generic.append(others if e == 1 else 0.0)
+        return np.concatenate([values, generic])
 
     def jacobian_sparse(self, t: float, x: np.ndarray):
         """Analytic Jacobian as a ``scipy.sparse`` CSC matrix.
@@ -203,10 +309,7 @@ class MassActionKinetics:
         """
         from scipy import sparse
 
-        if self._stoich_csr is None:
-            self._stoich_csr = sparse.csr_matrix(self._stoich_c)
-        drate = sparse.csr_matrix(self._drate_values(x))
-        return sparse.csc_matrix(self._stoich_csr @ drate)
+        return sparse.csc_matrix(self.jacobian(t, x))
 
     def jacobian_sparsity(self) -> np.ndarray:
         """(S, S) 0/1 nonzero pattern of :meth:`jacobian`.

@@ -69,7 +69,9 @@ class OdeSimulator:
         optional :class:`~repro.obs.tracer.Tracer` /
         :class:`~repro.obs.metrics.MetricsRegistry`; each ``simulate``
         call then records a ``solver`` span and solver-effort counters
-        (``ode.nfev``, ``ode.njev``, event firings, wall time).  Both
+        (``ode.nfev``, ``ode.njev``, event firings, wall time) plus the
+        ``ode.kinetics_compiled`` gauge (1 when the compiled kinetics
+        kernel ran, 0 on the numpy fallback).  Both
         default to process-wide null singletons: the disabled path is a
         single attribute check.
     """
@@ -369,9 +371,12 @@ class OdeSimulator:
         nfev = int(stats.get("nfev", 0))
         njev = int(stats.get("njev", 0))
         event_fired = "event" in trajectory.meta
+        backend = self.kinetics.backend
         metrics = self.metrics
         if metrics.enabled:
             metrics.inc("ode.calls")
+            metrics.set_gauge("ode.kinetics_compiled",
+                              float(backend == "compiled"))
             metrics.inc("ode.nfev", nfev)
             metrics.inc("ode.njev", njev)
             metrics.inc("ode.nlu", stats.get("nlu", 0))
@@ -388,7 +393,8 @@ class OdeSimulator:
                 metrics.inc("ode.stiff_activations")
             metrics.observe("ode.wall_seconds", wall)
         if self.tracer.enabled:
-            args = {"nfev": nfev, "wall": round(wall, 6)}
+            args = {"nfev": nfev, "wall": round(wall, 6),
+                    "kinetics": backend}
             if njev:
                 args["njev"] = njev
             if stats.get("nlu"):

@@ -249,6 +249,11 @@ def _solver_section(records) -> list[str]:
                      f"{int(nfev)} RHS evaluations, "
                      f"{int(njev)} Jacobian evaluations, "
                      f"{wall:.3f} s wall")
+        backends = sorted({span["args"]["kinetics"]
+                           for span in solver_spans
+                           if "kinetics" in span.get("args", {})})
+        if backends:
+            lines.append(f"  kinetics backend: {', '.join(backends)}")
     if metrics:
         counters = metrics.get("counters", {})
         interesting = {name: value for name, value in counters.items()
