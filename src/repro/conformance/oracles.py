@@ -32,6 +32,14 @@ numerical agreement:
     floating-point operations in the same order, so LSODA and BDF
     trajectories integrated with either must be **bitwise** equal.
     Skipped when the compiled kernel is unavailable.
+``diff.ssa-compiled-vs-numpy``
+    The compiled Gillespie loop and the numpy reference loop of
+    :class:`~repro.crn.simulation.ssa.IncrementalPropensities` take the
+    same draws from the same generator and perform the same
+    floating-point operations in the same order, so seeded realisations
+    must have **bitwise** equal sampled states, equal event counts and
+    an equal next draw from the generator afterwards.  Skipped when the
+    compiled kernel is unavailable.
 
 Every ensemble member's seed is spawned from one root
 :class:`numpy.random.SeedSequence` and reductions are payload-ordered,
@@ -43,7 +51,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.conformance.metamorphic import CheckResult, _guarded, _Skip
-from repro.crn.simulation import OdeSimulator, SimulationOptions, simulate
+from repro.crn.simulation import (OdeSimulator, SimulationOptions,
+                                  StochasticSimulator, simulate)
 from repro.crn.simulation.sweep import ParallelSweepRunner
 from repro.errors import SimulationError
 
@@ -167,6 +176,52 @@ def check_ode_compiled_vs_numpy(target, seed: int,
                     body)
 
 
+def check_ssa_compiled_vs_numpy(target, seed: int,
+                                n_workers: int | None = None,
+                                n_runs: int = 4) -> CheckResult:
+    """Compiled-loop SSA realisations must match the numpy loop bitwise."""
+    def body():
+        if not target.stochastic:
+            raise _Skip("stochastic engines disabled for this target")
+        t_final = min(target.t_final, 1.0)
+        for i, member in enumerate(np.random.SeedSequence(seed)
+                                   .spawn(n_runs)):
+            runs = []
+            for reference in (False, True):
+                simulator = StochasticSimulator(
+                    target.network, target.scheme,
+                    seed=np.random.default_rng(member))
+                state = simulator.propensity_state
+                if reference:
+                    state.use_reference()
+                elif state.backend != "compiled":
+                    raise _Skip("compiled SSA kernel unavailable")
+                try:
+                    run = simulator.simulate(t_final, n_samples=17,
+                                             max_events=MAX_EVENTS)
+                except SimulationError as exc:
+                    raise _Skip(f"run over event budget: {exc}") from exc
+                runs.append((run, simulator.rng.random()))
+            (compiled, compiled_next), (numpy_run, numpy_next) = runs
+            if compiled.states.tobytes() != numpy_run.states.tobytes():
+                row = int(np.argmax(np.any(
+                    compiled.states != numpy_run.states, axis=1)))
+                return (f"run {i}: compiled-loop states diverge from the "
+                        f"numpy loop at sample {row} "
+                        f"(t={compiled.times[row]:g}); the two paths "
+                        f"must match bitwise")
+            if compiled.meta["events"] != numpy_run.meta["events"]:
+                return (f"run {i}: compiled loop fired "
+                        f"{compiled.meta['events']} events vs numpy "
+                        f"{numpy_run.meta['events']}")
+            if compiled_next != numpy_next:
+                return (f"run {i}: the generator stream left the "
+                        f"compiled loop out of step with the numpy loop")
+        return None
+    return _guarded("diff.ssa-compiled-vs-numpy", target.name, "ssa",
+                    body)
+
+
 def check_ode_solvers(target, seed: int,
                       n_workers: int | None = None) -> CheckResult:
     def body():
@@ -274,6 +329,7 @@ DIFFERENTIAL_CHECKS = (
     check_ode_solvers,
     check_batch_vs_reference,
     check_ode_compiled_vs_numpy,
+    check_ssa_compiled_vs_numpy,
     check_ssa_vs_ode,
     check_tau_vs_ssa,
 )

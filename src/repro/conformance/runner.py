@@ -29,6 +29,7 @@ from repro.conformance.metamorphic import (ENGINE_SPECS,
 from repro.conformance.oracles import (check_batch_vs_reference,
                                        check_ode_compiled_vs_numpy,
                                        check_ode_solvers,
+                                       check_ssa_compiled_vs_numpy,
                                        check_ssa_vs_ode,
                                        check_tau_vs_ssa)
 from repro.conformance.shrink import shrink_network, write_reproducer
@@ -139,6 +140,7 @@ def _cells_for(target: Target, target_index: int, seed: int,
     add(check_batch_vs_reference, n_workers=n_workers,
         n_runs=budget.n_runs)
     add(check_ode_compiled_vs_numpy, n_workers=n_workers)
+    add(check_ssa_compiled_vs_numpy, n_workers=n_workers)
     add(check_ssa_vs_ode, n_workers=n_workers, n_runs=budget.n_runs)
     add(check_tau_vs_ssa, n_workers=n_workers, n_runs=budget.n_runs)
     return cells
@@ -193,8 +195,8 @@ def replay_network(network, *, name: str = "corpus",
     Used by ``tests/conformance/test_corpus_replay.py`` and the CLI's
     ``--replay`` mode: every metamorphic invariant on every applicable
     engine, plus the cross-solver oracle and the bitwise
-    batch-vs-reference and compiled-vs-numpy kinetics oracles -- cheap
-    enough to run on every shrunk reproducer in tier-1, forever.
+    batch-vs-reference and compiled-vs-numpy ODE and SSA oracles --
+    cheap enough to run on every shrunk reproducer in tier-1, forever.
     """
     target = Target(name, network, CONFORMANCE_SCHEME,
                     t_final=t_final, stochastic=stochastic)

@@ -1,24 +1,30 @@
-"""Build, cache and load the compiled mass-action kernel.
+"""Build, cache and load the compiled kinetics kernels.
 
 :class:`~repro.crn.kinetics.MassActionKinetics` evaluates its ODE
-right-hand side and Jacobian with the small CPython extension in
-``_ckinetics.c`` whenever that extension builds, and with its numpy
-reference path otherwise.  The two are bitwise equal (see the kernel
-source for the contract).
+right-hand side and Jacobian with the ``Kernel`` type of the small
+CPython extension in ``_ckinetics.c``, and
+:class:`~repro.crn.simulation.ssa.IncrementalPropensities` runs the
+Gillespie direct-method loop with its ``Ssa`` type, whenever that
+extension builds; each falls back to its numpy reference path otherwise.
+Both are bitwise equal to their reference (see the kernel source for the
+contract).
 
 The extension is compiled with the installed ``gcc`` against the
 interpreter's and numpy's headers, without fast-math or host-specific
-flags, into ``__pycache__`` next to this module.  The file name carries
-a hash of the source, the flags, the extension ABI tag, the numpy
-version and the compiler version, so a change to any of them builds
-afresh.  A build is written to a temporary file and renamed into place,
-so processes building at the same time cannot see a partial file.
+flags, and linked against the ``libnpyrandom.a`` numpy ships, so the SSA
+loop draws its exponentials with numpy's own code.  It goes into
+``__pycache__`` next to this module.  The file name carries a hash of the
+source, the flags, the extension ABI tag, the numpy version, the path of
+``libnpyrandom.a`` and the compiler version, so a change to any of them
+builds afresh.  A build is written to a temporary file and renamed into
+place, so processes building at the same time cannot see a partial file.
 
 Nothing is built or loaded on import: :func:`load` runs on the first
-right-hand-side or Jacobian evaluation, so processes that only run the
-stochastic engines never pay for it.  When the build or the import
-fails, :func:`load` warns once per process (naming the compiler command
-and the tail of its error output) and returns ``None``.
+right-hand-side or Jacobian evaluation or the first SSA ``simulate``
+call, whichever comes first.  When the build or the import fails,
+:func:`load` warns once per process (naming the compiler command and the
+tail of its error output) and returns ``None``, and every caller uses
+its numpy path.
 """
 
 from __future__ import annotations
@@ -42,6 +48,8 @@ SOURCE = Path(__file__).with_name("_ckinetics.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
 MODULE_NAME = "repro.crn._ckinetics"
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+#: numpy's static distributions library (``random_standard_exponential``).
+NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 
 #: Lines of compiler error output quoted in the fallback warning.
 STDERR_TAIL_LINES = 12
@@ -70,7 +78,7 @@ def load() -> ModuleType | None:
             except (KernelBuildError, OSError) as exc:
                 _failure = str(exc)
                 warnings.warn(
-                    "compiled mass-action kernel unavailable, using the "
+                    "compiled kinetics kernel unavailable, using the "
                     f"numpy reference path: {_failure}", RuntimeWarning,
                     stacklevel=3)
     return _module
@@ -79,19 +87,22 @@ def load() -> ModuleType | None:
 def build(cache_dir: Path) -> Path:
     """Path of the built extension in ``cache_dir``, compiling if needed.
 
-    Raises :class:`KernelBuildError` when the compiler is missing or
-    fails, and :class:`OSError` when the source or the cache directory
-    cannot be read or written.
+    Raises :class:`KernelBuildError` when the compiler or numpy's
+    ``libnpyrandom.a`` is missing or the compiler fails, and
+    :class:`OSError` when the source or the cache directory cannot be
+    read or written.
     """
     compiler = shutil.which("gcc")
     if compiler is None:
         raise KernelBuildError("no gcc on PATH")
+    if not NPYRANDOM.is_file():
+        raise KernelBuildError(f"numpy's {NPYRANDOM} is missing")
     version = _run([compiler, "--version"]).partition("\n")[0]
     suffix = sysconfig.get_config_var("EXT_SUFFIX")
     digest = hashlib.sha256()
     for part in (SOURCE.read_bytes(), " ".join(CFLAGS).encode(),
                  suffix.encode(), np.__version__.encode(),
-                 version.encode()):
+                 str(NPYRANDOM).encode(), version.encode()):
         digest.update(part)
         digest.update(b"\0")
     target = cache_dir / f"_ckinetics-{digest.hexdigest()[:16]}{suffix}"
@@ -102,7 +113,8 @@ def build(cache_dir: Path) -> Path:
     os.close(fd)
     command = [compiler, *CFLAGS,
                f"-I{sysconfig.get_paths()['include']}",
-               f"-I{np.get_include()}", str(SOURCE), "-o", partial, "-lm"]
+               f"-I{np.get_include()}", str(SOURCE), str(NPYRANDOM), "-o",
+               partial, "-lm"]
     try:
         _run(command)
         os.replace(partial, target)

@@ -18,6 +18,10 @@ import numpy as np
 
 from repro.errors import SimulationError
 
+NO_POSITIVE_PROPENSITY = (
+    "select_reaction() called with no positive propensity: the state is "
+    "absorbing and no reaction can fire")
+
 
 def cumulative_propensities(propensities: np.ndarray) -> np.ndarray:
     """Cumulative sums of a propensity vector; ``result[-1]`` is a_0."""
@@ -58,8 +62,6 @@ def select_reaction(propensities: np.ndarray, u: float, *,
     if j >= propensities.shape[0]:
         positive = np.nonzero(propensities > 0.0)[0]
         if not positive.size:
-            raise SimulationError(
-                "select_reaction() called with no positive propensity: "
-                "the state is absorbing and no reaction can fire")
+            raise SimulationError(NO_POSITIVE_PROPENSITY)
         j = int(positive[-1])
     return j

@@ -11,20 +11,30 @@ instead of the full O(R * reactants) Python-loop recompute per event.
 Affected entries are recomputed exactly from the current counts, so the
 propensity vector never drifts; the cumulative-sum selection draw is
 shared with tau-leaping via :mod:`repro.crn.simulation.sampling`.
+
+The whole event loop runs in the ``Ssa`` type of the compiled kernel
+(:mod:`repro.crn.ckinetics`) whenever that builds.  It performs the
+numpy loop's floating-point operations in the same order and takes its
+draws from the simulator's own generator, so realisations, event counts
+and the generator state afterwards are bitwise equal on either path;
+:meth:`IncrementalPropensities.use_reference` selects the numpy loop.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from time import perf_counter
 
 import numpy as np
 
+from repro.crn import ckinetics
 from repro.crn.kinetics import MassActionKinetics, build_kinetics
 from repro.crn.network import Network
 from repro.crn.rates import RateScheme
 from repro.crn.simulation.result import Trajectory
-from repro.crn.simulation.sampling import select_reaction
+from repro.crn.simulation.sampling import (NO_POSITIVE_PROPENSITY,
+                                           select_reaction)
 from repro.errors import SimulationError
 from repro.obs.metrics import ensure_metrics
 from repro.obs.tracer import ensure_tracer
@@ -40,6 +50,9 @@ ENSEMBLE_CHUNK_RUNS = 8
 #: half-integers), so the periodic rebuild is belt-and-braces hardening
 #: against drift, not a behaviour change -- it recomputes the same bits.
 PROPENSITY_REBUILD_INTERVAL = 4096
+
+# Outcomes of the compiled ``Ssa.run`` (see _ckinetics.c).
+_RUN_EXCEEDED, _RUN_NO_POSITIVE = 1, 2
 
 
 class IncrementalPropensities:
@@ -60,12 +73,24 @@ class IncrementalPropensities:
     events :meth:`rebuild` recomputes the full vector exactly from the
     current counts, in place -- the simulators alias ``self.a``, so the
     rebuild must never rebind it.
+
+    :meth:`run` advances the Gillespie direct method over a sample grid.
+    ``backend`` reads ``"compiled"`` when it runs in the compiled kernel
+    and ``"numpy"`` on the reference loop (:meth:`fire` plus
+    :func:`~repro.crn.simulation.sampling.select_reaction`); the path is
+    chosen on first use and is ``"numpy"`` only when the kernel cannot
+    be built or after :meth:`use_reference`.
     """
 
     def __init__(self, kinetics: MassActionKinetics, constants: np.ndarray,
                  rebuild_interval: int = PROPENSITY_REBUILD_INTERVAL):
         self.kinetics = kinetics
-        self.constants = np.asarray(constants, dtype=float)
+        # A private read-only copy: the dependent constants below and
+        # the compiled kernel snapshot it, so a caller editing its own
+        # array afterwards must not reach reset/rebuild alone.
+        constants = np.array(constants, dtype=float)
+        constants.flags.writeable = False
+        self.constants = constants
         n_s = kinetics.n_species
         self._n_s = n_s
         stoich = kinetics.stoich                    # (S, R)
@@ -106,6 +131,56 @@ class IncrementalPropensities:
         if self.rebuild_interval < 1:
             raise SimulationError("rebuild_interval must be >= 1")
         self._events_since_rebuild = 0
+        # Evaluation path of run(), bound on first use.
+        self._backend: str | None = None
+        self._kernel = None
+
+    # -- evaluation path -----------------------------------------------------
+
+    @property
+    def backend(self) -> str:
+        """``"compiled"`` or ``"numpy"`` (selects the path on first use)."""
+        if self._backend is None:
+            self._select_backend()
+        return self._backend
+
+    def _select_backend(self) -> None:
+        module = ckinetics.load()
+        if module is None:
+            self.use_reference()
+            return
+        kinetics = self.kinetics
+        plan = self._fire_plan
+
+        # The fire plan as CSR arrays: row pointers, then values.
+        def ptr(field: int) -> np.ndarray:
+            return np.cumsum([0] + [len(entry[field]) for entry in plan],
+                             dtype=np.intp)
+
+        def flat(field: int, dtype=np.intp) -> np.ndarray:
+            return np.concatenate([entry[field] for entry in plan]) \
+                .astype(dtype, copy=False)
+
+        exponents = kinetics._generic_exp.astype(np.intp)
+        self._kernel = module.Ssa(
+            self._n_s, kinetics._factor_a, kinetics._stoch_factor_b,
+            self.constants, kinetics._generic_rows, kinetics._generic_ptr,
+            kinetics._generic_species, exponents,
+            [float(math.factorial(e)) for e in exponents.tolist()],
+            ptr(0), flat(0), flat(1, np.int64),
+            ptr(2), flat(2), flat(3, float),
+            ptr(4), flat(4), flat(5), flat(6), flat(7, float))
+        self._backend = "compiled"
+
+    def use_reference(self) -> None:
+        """Run :meth:`run` on the numpy reference loop.
+
+        This is the fallback when the compiled kernel cannot be built;
+        the differential oracle that checks the two paths against each
+        other also calls it directly.
+        """
+        self._backend = "numpy"
+        self._kernel = None
 
     def reset(self, counts: np.ndarray) -> float:
         """Adopt a full state vector and recompute every propensity."""
@@ -149,6 +224,66 @@ class IncrementalPropensities:
                 fresh[pos] = self.kinetics.propensity_of(
                     i, self.counts, self.constants)
         self.a[dep] = fresh
+
+    def run(self, rng: np.random.Generator, times: np.ndarray,
+            samples: np.ndarray, t_start: float, t_final: float,
+            max_events: int, firings: np.ndarray | None
+            ) -> tuple[float, int, int, bool]:
+        """Gillespie direct method from the current state up to ``t_final``.
+
+        Fills ``samples[1:next_sample]`` with the pre-event counts at
+        each grid time in ``times`` the run passes (``samples[0]`` is
+        the caller's) and counts firings per channel into ``firings``
+        when given.  Returns ``(t, events, next_sample, exceeded)``:
+        ``exceeded`` means the run stopped at time ``t`` because
+        ``max_events`` reactions had already fired.
+        """
+        if self._backend is None:
+            self._select_backend()
+        if self._kernel is None:
+            return self._reference_run(rng, times, samples, t_start,
+                                       t_final, max_events, firings)
+        bit_generator = rng.bit_generator
+        with bit_generator.lock:
+            status, t, events, next_sample, self._events_since_rebuild = \
+                self._kernel.run(bit_generator.capsule, self.counts,
+                                 self._cb, self.a, times, samples, t_start,
+                                 t_final, max_events, self.rebuild_interval,
+                                 self._events_since_rebuild, firings)
+        if status == _RUN_NO_POSITIVE:
+            raise SimulationError(NO_POSITIVE_PROPENSITY)
+        return t, events, next_sample, status == _RUN_EXCEEDED
+
+    def _reference_run(self, rng, times, samples, t_start, t_final,
+                       max_events, firings):
+        """:meth:`run` on the numpy path."""
+        a = self.a  # reset() rebound it; fire() mutates it in place
+        fire = self.fire
+        grid = times.tolist()
+        n_times = len(grid)
+        next_sample = 1
+        t = t_start
+        events = 0
+        while t < t_final:
+            cumulative = a.cumsum()
+            total = cumulative[-1]
+            if total <= 0.0:
+                break  # No reaction can fire; state is absorbing.
+            t += rng.exponential(1.0 / total)
+            if t > t_final:
+                break
+            while next_sample < n_times and grid[next_sample] <= t:
+                samples[next_sample] = self.counts
+                next_sample += 1
+            if events >= max_events:
+                return t, events, next_sample, True
+            j = select_reaction(a, rng.random(),
+                                cumulative=cumulative, total=total)
+            fire(j)
+            events += 1
+            if firings is not None:
+                firings[j] += 1
+        return t, events, next_sample, False
 
 
 class StochasticSimulator:
@@ -194,11 +329,19 @@ class StochasticSimulator:
 
     def _record_batch(self, kind: str, t_final: float, events: int,
                       wall: float, firings: np.ndarray | None = None,
-                      extra: dict | None = None) -> None:
-        """Per-``simulate`` telemetry shared by SSA and tau-leaping."""
+                      extra: dict | None = None,
+                      kernel: str | None = None) -> None:
+        """Per-``simulate`` telemetry shared by SSA and tau-leaping.
+
+        ``kernel`` is the event-loop path of a single SSA ``simulate``
+        (:attr:`IncrementalPropensities.backend`).
+        """
         metrics = self.metrics
         if metrics.enabled:
             metrics.inc(f"{kind}.batches")
+            if kernel is not None:
+                metrics.set_gauge("ssa.kernel_compiled",
+                                  float(kernel == "compiled"))
             metrics.inc(f"{kind}.events", events)
             metrics.observe(f"{kind}.wall_seconds", wall)
             for name, value in (extra or {}).items():
@@ -210,6 +353,8 @@ class StochasticSimulator:
                         float(firings[j]))
         if self.tracer.enabled:
             args = {"events": events, "wall": round(wall, 6)}
+            if kernel is not None:
+                args["kernel"] = kernel
             args.update(extra or {})
             self.tracer.emit_span(f"{kind}.batch", "solver", 0.0,
                                   t_final, args)
@@ -245,46 +390,21 @@ class StochasticSimulator:
         samples = np.empty((sample_times.size, state.counts.size),
                            dtype=float)
         samples[0] = state.counts
-        next_sample = 1
         telemetry = self.tracer.enabled or self.metrics.enabled
         wall_start = perf_counter() if telemetry else 0.0
         firings = np.zeros(self.network.n_reactions, dtype=np.int64) \
             if self.metrics.enabled else None
-        rng = self.rng
-        a = state.a  # reset() rebound it; fire() mutates it in place
-        fire = state.fire
-        grid = sample_times.tolist()
-        n_times = len(grid)
-
-        t = t_start
-        events = 0
-        while t < t_final:
-            cumulative = a.cumsum()
-            total = cumulative[-1]
-            if total <= 0.0:
-                break  # No reaction can fire; state is absorbing.
-            t += rng.exponential(1.0 / total)
-            if t > t_final:
-                break
-            while next_sample < n_times and grid[next_sample] <= t:
-                samples[next_sample] = state.counts
-                next_sample += 1
-            if events >= max_events:
-                if telemetry:
-                    self._record_batch("ssa", t_final, events,
-                                       perf_counter() - wall_start, firings)
-                raise SimulationError(
-                    f"SSA exceeded {max_events} events at t={t:g}")
-            j = select_reaction(a, rng.random(),
-                                cumulative=cumulative, total=total)
-            fire(j)
-            events += 1
-            if firings is not None:
-                firings[j] += 1
-        samples[next_sample:] = state.counts
+        t, events, next_sample, exceeded = state.run(
+            self.rng, sample_times, samples, t_start, t_final, max_events,
+            firings)
         if telemetry:
             self._record_batch("ssa", t_final, events,
-                               perf_counter() - wall_start, firings)
+                               perf_counter() - wall_start, firings,
+                               kernel=state.backend)
+        if exceeded:
+            raise SimulationError(
+                f"SSA exceeded {max_events} events at t={t:g}")
+        samples[next_sample:] = state.counts
         return Trajectory(sample_times, samples, self.network.species_names,
                           {"events": events})
 

@@ -249,11 +249,12 @@ def _solver_section(records) -> list[str]:
                      f"{int(nfev)} RHS evaluations, "
                      f"{int(njev)} Jacobian evaluations, "
                      f"{wall:.3f} s wall")
-        backends = sorted({span["args"]["kinetics"]
-                           for span in solver_spans
-                           if "kinetics" in span.get("args", {})})
-        if backends:
-            lines.append(f"  kinetics backend: {', '.join(backends)}")
+        for label, key in (("kinetics backend", "kinetics"),
+                           ("ssa kernel", "kernel")):
+            paths = sorted({span["args"][key] for span in solver_spans
+                            if key in span.get("args", {})})
+            if paths:
+                lines.append(f"  {label}: {', '.join(paths)}")
     if metrics:
         counters = metrics.get("counters", {})
         interesting = {name: value for name, value in counters.items()

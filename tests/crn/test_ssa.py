@@ -216,6 +216,34 @@ class TestIncrementalPropensityHardening:
         assert np.array_equal(baseline.states, rebuilt.states)
         assert baseline.meta == rebuilt.meta
 
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_constants_are_a_private_read_only_copy(self, reference):
+        """Editing the simulator's constants afterwards must reach
+        neither reset/rebuild nor the dependent updates: the vector
+        stays equal to a fresh recompute from the state's own copy."""
+        from pathlib import Path
+
+        from repro.crn.parser import parse_network
+
+        path = Path(__file__).resolve().parents[2] / "examples" / \
+            "delay_chain.crn"
+        network = parse_network(path.read_text(), "delay_chain")
+        simulator = StochasticSimulator(network, seed=3)
+        state = simulator.propensity_state
+        if reference:
+            state.use_reference()
+        original = simulator.constants.copy()
+        simulator.constants *= 3.0
+        initial = np.full(network.n_species, 40)
+        run = simulator.simulate(2.0, initial=initial, n_samples=5)
+        assert run.meta["events"] > 0
+        assert np.array_equal(state.constants, original)
+        fresh = state.kinetics.propensities(state.counts.copy(),
+                                            state.constants)
+        assert np.array_equal(state.a, fresh)
+        with pytest.raises(ValueError):
+            state.constants[0] = 1.0
+
     def test_rebuild_interval_validated(self):
         _, simulator, _ = self._two_channel_state()
         from repro.crn.simulation.ssa import IncrementalPropensities

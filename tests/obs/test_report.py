@@ -137,6 +137,20 @@ class TestSummarizeEdgeCases:
         assert "ode.nfev" in text
         assert "cycles" not in text
 
+    def test_solver_paths_named(self):
+        text = summarize([
+            {"type": "span", "name": "ode.solve", "cat": "solver",
+             "t0": 0.0, "t1": 1.0, "args": {"nfev": 9,
+                                           "kinetics": "compiled"}},
+            {"type": "span", "name": "ssa.batch", "cat": "solver",
+             "t0": 0.0, "t1": 1.0, "args": {"events": 5,
+                                           "kernel": "numpy"}},
+            {"type": "span", "name": "ssa.batch", "cat": "solver",
+             "t0": 0.0, "t1": 1.0, "args": {"events": 7,
+                                           "kernel": "compiled"}}])
+        assert "kinetics backend: compiled\n" in text
+        assert "ssa kernel: compiled, numpy" in text
+
     def test_unknown_kinds_counted_with_warning(self):
         text = summarize([
             {"type": "span", "name": "cycle", "cat": "m",
