@@ -144,9 +144,6 @@ def _add_simulate(subparsers) -> None:
     parser.add_argument("--engine", default="ode",
                         choices=["ode", "ssa", "tau"],
                         help="simulation engine (default ode)")
-    parser.add_argument("--backend", default="reference",
-                        help="execution backend for stochastic engines "
-                             "(reference/batch; default reference)")
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed for stochastic engines")
     parser.add_argument("--plot", default="",
@@ -168,8 +165,8 @@ def _run_simulate(args) -> int:
 
         seed = np.random.default_rng(args.seed)
     options = SimulationOptions(solver=args.method, n_samples=400,
-                                seed=seed, backend=args.backend,
-                                tracer=tracer, metrics=metrics)
+                                seed=seed, tracer=tracer,
+                                metrics=metrics)
     trajectory = simulate(network, args.t, args.engine, scheme=scheme,
                           options=options)
     print(network.summary())

@@ -20,12 +20,13 @@ numerical agreement:
     Tau-leaping is an approximation of exact SSA: ensemble mean final
     states on matched seed lists must agree within the combined CLT
     bands plus a leaping-bias allowance.
-``diff.batch-vs-reference``
-    The structure-of-arrays SSA backend is not an approximation at all:
-    on matched per-trial seeds every sampled trajectory (and event
-    count) must equal the reference engine's **bitwise** -- the
-    strongest oracle in the battery, and the contract that keeps seeded
-    corpora and cached baselines valid across backends.
+``diff.ensemble-vs-single``
+    :meth:`~repro.crn.simulation.ssa.StochasticSimulator.simulate_ensemble`
+    reuses one simulator for every seed.  Each of its trials must equal
+    a fresh simulator's ``simulate()`` on that seed **bitwise** (sampled
+    states and event count), and the ensemble must leave the caller's
+    generator where it was: no state may leak from one trial into the
+    next or out to the caller.
 ``diff.ode-compiled-vs-numpy``
     The compiled mass-action kernel and the numpy reference path of
     :class:`~repro.crn.kinetics.MassActionKinetics` perform the same
@@ -98,49 +99,50 @@ def _ensemble_finals(network, method: str, rates: np.ndarray,
     return np.vstack(runner.map(_final_state_worker, payloads))
 
 
-def check_batch_vs_reference(target, seed: int,
+def check_ensemble_vs_single(target, seed: int,
                              n_workers: int | None = None,
                              n_runs: int = 8) -> CheckResult:
-    """Batch-backend realisations must match the reference bitwise."""
+    """Ensemble trials must match fresh per-seed runs bitwise."""
     def body():
         if not target.stochastic:
             raise _Skip("stochastic engines disabled for this target")
-        from repro.crn.simulation import BatchStochasticSimulator
-
         network = target.network
         t_final = min(target.t_final, 1.0)
         rates = network.rate_vector(target.scheme)
         seeds = np.random.SeedSequence(seed).spawn(n_runs)
+        caller = StochasticSimulator(network, rates=rates, seed=seed)
         try:
-            reference = []
+            single = []
             for member in seeds:
                 options = SimulationOptions(
                     seed=np.random.default_rng(member), rates=rates,
                     n_samples=17, max_events=MAX_EVENTS)
-                reference.append(simulate(network, t_final, "ssa",
-                                          scheme=None, options=options))
-            ensemble = BatchStochasticSimulator(
-                network, rates=rates).simulate_ensemble(
-                    t_final, seeds=list(seeds), n_samples=17,
-                    max_events=MAX_EVENTS)
+                single.append(simulate(network, t_final, "ssa",
+                                       scheme=None, options=options))
+            ensemble = caller.simulate_ensemble(
+                t_final, seeds=seeds, n_samples=17,
+                max_events=MAX_EVENTS)
         except SimulationError as exc:
             raise _Skip(f"ensemble over event budget: {exc}") from exc
-        for i, run in enumerate(reference):
-            batch_run = ensemble.trial(i)
-            if not np.array_equal(run.states, batch_run.states):
+        for i, run in enumerate(single):
+            trial = ensemble.trial(i)
+            if not np.array_equal(run.states, trial.states):
                 row = int(np.argmax(np.any(
-                    run.states != batch_run.states, axis=1)))
-                return (f"trial {i}: batch states diverge from the "
-                        f"reference engine at sample {row} "
+                    run.states != trial.states, axis=1)))
+                return (f"trial {i}: ensemble states diverge from a "
+                        f"fresh simulator's at sample {row} "
                         f"(t={run.times[row]:g}); seeded realisations "
                         f"must match bitwise")
-            if run.meta["events"] != batch_run.meta["events"]:
-                return (f"trial {i}: batch fired "
-                        f"{batch_run.meta['events']} events vs "
-                        f"reference {run.meta['events']}")
+            if run.meta["events"] != trial.meta["events"]:
+                return (f"trial {i}: ensemble fired "
+                        f"{trial.meta['events']} events vs a fresh "
+                        f"simulator's {run.meta['events']}")
+        untouched = StochasticSimulator(network, rates=rates, seed=seed)
+        if caller.rng.random() != untouched.rng.random():
+            return ("simulate_ensemble left the caller's generator "
+                    "moved; it must restore it after the trials")
         return None
-    return _guarded("diff.batch-vs-reference", target.name, "ssa-batch",
-                    body)
+    return _guarded("diff.ensemble-vs-single", target.name, "ssa", body)
 
 
 def check_ode_compiled_vs_numpy(target, seed: int,
@@ -327,7 +329,7 @@ def check_tau_vs_ssa(target, seed: int,
 #: The differential battery, in report order.
 DIFFERENTIAL_CHECKS = (
     check_ode_solvers,
-    check_batch_vs_reference,
+    check_ensemble_vs_single,
     check_ode_compiled_vs_numpy,
     check_ssa_compiled_vs_numpy,
     check_ssa_vs_ode,

@@ -26,7 +26,7 @@ from repro.conformance.metamorphic import (ENGINE_SPECS,
                                            check_canonical_form,
                                            check_duplicate_merge,
                                            check_sampling_guard)
-from repro.conformance.oracles import (check_batch_vs_reference,
+from repro.conformance.oracles import (check_ensemble_vs_single,
                                        check_ode_compiled_vs_numpy,
                                        check_ode_solvers,
                                        check_ssa_compiled_vs_numpy,
@@ -108,8 +108,7 @@ def _cells_for(target: Target, target_index: int, seed: int,
     """
     engines = [ENGINE_SPECS["ode"]]
     if target.stochastic:
-        engines += [ENGINE_SPECS["ssa"], ENGINE_SPECS["tau"],
-                    ENGINE_SPECS["ssa-batch"]]
+        engines += [ENGINE_SPECS["ssa"], ENGINE_SPECS["tau"]]
     cells = []
     cell_index = 0
 
@@ -137,7 +136,7 @@ def _cells_for(target: Target, target_index: int, seed: int,
     # serving cache keys on (reported under the ode engine column).
     add(check_canonical_form, ENGINE_SPECS["ode"])
     add(check_ode_solvers, n_workers=n_workers)
-    add(check_batch_vs_reference, n_workers=n_workers,
+    add(check_ensemble_vs_single, n_workers=n_workers,
         n_runs=budget.n_runs)
     add(check_ode_compiled_vs_numpy, n_workers=n_workers)
     add(check_ssa_compiled_vs_numpy, n_workers=n_workers)
@@ -195,7 +194,7 @@ def replay_network(network, *, name: str = "corpus",
     Used by ``tests/conformance/test_corpus_replay.py`` and the CLI's
     ``--replay`` mode: every metamorphic invariant on every applicable
     engine, plus the cross-solver oracle and the bitwise
-    batch-vs-reference and compiled-vs-numpy ODE and SSA oracles --
+    ensemble-vs-single and compiled-vs-numpy ODE and SSA oracles --
     cheap enough to run on every shrunk reproducer in tier-1, forever.
     """
     target = Target(name, network, CONFORMANCE_SCHEME,

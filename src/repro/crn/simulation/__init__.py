@@ -11,31 +11,27 @@ keyword arguments.  The engine classes remain public for callers that
 need to reuse a compiled simulator across many calls (the machine
 drivers do).
 
-Execution backends
-------------------
-Orthogonal to the engine name, :attr:`SimulationOptions.backend` picks
-the *implementation*: ``"reference"`` is the per-trial scalar engines
-above, ``"batch"`` routes exact SSA through the structure-of-arrays
-ensemble engine (:class:`BatchStochasticSimulator`), which produces
-bitwise-identical trajectories on matched seeds.  Backends register in
-:data:`_BACKEND_DISPATCH` via :func:`register_backend`; a backend that
-does not vectorise an engine (ODE and tau-leaping under ``"batch"``)
-delegates to the reference dispatch, so every ``(engine, backend)``
-combination is valid.
+Ensembles
+---------
+Many seeded runs of one network go through
+:meth:`StochasticSimulator.simulate_ensemble` (inherited by
+tau-leaping): one simulator, its generator swapped per seed, so each
+trial is the realisation a fresh simulator on that seed would give.
+:meth:`StochasticSimulator.mean_trajectory` chunks it over a
+:class:`ParallelSweepRunner`.  :attr:`SimulationOptions.backend` is
+validated but selects nothing: ``"reference"`` and ``"batch"`` run the
+same engines.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
-from repro.crn.simulation.batch import (BatchStochasticSimulator,
-                                        EnsembleResult)
 from repro.crn.simulation.events import (species_above, species_below,
                                          total_above, total_below)
 from repro.crn.simulation.ode import JACOBIAN_MODES, METHODS, OdeSimulator
 from repro.crn.simulation.options import (BACKENDS, ENGINES,
                                           SimulationOptions)
-from repro.crn.simulation.result import SimulationResult, Trajectory
+from repro.crn.simulation.result import (EnsembleResult, SimulationResult,
+                                         Trajectory)
 from repro.crn.simulation.rk import integrate_rk45
 from repro.crn.simulation.sampling import (cumulative_propensities,
                                            select_reaction)
@@ -65,9 +61,9 @@ def _resolve_engine(method: str) -> tuple[str, str | None]:
         f"{ENGINES}")
 
 
-def _reference_dispatch(engine: str, network, t_final: float, scheme,
-                        opts: SimulationOptions) -> Trajectory:
-    """The per-trial scalar engines (the default backend)."""
+def _dispatch(engine: str, network, t_final: float, scheme,
+              opts: SimulationOptions) -> Trajectory:
+    """Build the engine's simulator and run it once."""
     if engine == "ode":
         simulator = OdeSimulator(
             network, scheme, rates=opts.rates, method=opts.solver,
@@ -96,47 +92,6 @@ def _reference_dispatch(engine: str, network, t_final: float, scheme,
         n_samples=n_samples, **kwargs)
 
 
-def _batch_dispatch(engine: str, network, t_final: float, scheme,
-                    opts: SimulationOptions) -> Trajectory:
-    """The structure-of-arrays SSA backend (bitwise vs reference).
-
-    Only exact SSA is vectorised; the ODE and tau-leaping engines
-    delegate to the reference dispatch (vectorising tau-leaping's
-    adaptive control flow cannot preserve the seeded draw order).
-    """
-    if engine != "ssa":
-        return _reference_dispatch(engine, network, t_final, scheme, opts)
-    simulator = BatchStochasticSimulator(
-        network, scheme, rates=opts.rates, volume=opts.volume,
-        seed=opts.seed, tracer=opts.tracer, metrics=opts.metrics)
-    kwargs = {}
-    if opts.max_events is not None:
-        kwargs["max_events"] = opts.max_events
-    n_samples = opts.n_samples if opts.n_samples is not None else 200
-    return simulator.simulate(
-        t_final, t_start=opts.t_start, initial=opts.initial,
-        n_samples=n_samples, **kwargs)
-
-
-#: Engine-backend registry: backend name -> dispatch callable with the
-#: signature ``(engine, network, t_final, scheme, opts) -> Trajectory``.
-_BACKEND_DISPATCH: dict[str, Callable] = {}
-
-
-def register_backend(name: str, dispatch: Callable) -> None:
-    """Register (or replace) a simulation backend by name."""
-    _BACKEND_DISPATCH[str(name)] = dispatch
-
-
-def backend_names() -> tuple[str, ...]:
-    """Registered backend names, sorted."""
-    return tuple(sorted(_BACKEND_DISPATCH))
-
-
-register_backend("reference", _reference_dispatch)
-register_backend("batch", _batch_dispatch)
-
-
 def simulate(network, t_final: float, method: str = "ode", *,
              scheme=None, options: SimulationOptions | None = None,
              **overrides) -> Trajectory:
@@ -156,8 +111,7 @@ def simulate(network, t_final: float, method: str = "ode", *,
         categories; defaults to the paper's ``fast=1000, slow=1``.
     options:
         a :class:`SimulationOptions` bag; defaults to
-        ``SimulationOptions()``.  ``options.backend`` selects the
-        execution backend (see :data:`BACKENDS`).
+        ``SimulationOptions()``.
     **overrides:
         individual option fields overriding ``options`` (convenience
         for one-off calls); unknown names raise :class:`TypeError`.
@@ -175,18 +129,15 @@ def simulate(network, t_final: float, method: str = "ode", *,
         raise SimulationError(
             "event detection is only supported by the ODE engine; "
             "got events with method=" + repr(engine))
-    try:
-        dispatch = _BACKEND_DISPATCH[opts.backend]
-    except KeyError:
+    if opts.backend not in BACKENDS:
         raise SimulationError(
-            f"unknown simulation backend {opts.backend!r}; registered "
-            f"backends: {backend_names()}") from None
-    return dispatch(engine, network, t_final, scheme, opts)
+            f"unknown simulation backend {opts.backend!r}; expected one "
+            f"of {BACKENDS}")
+    return _dispatch(engine, network, t_final, scheme, opts)
 
 
 __all__ = [
     "BACKENDS",
-    "BatchStochasticSimulator",
     "ENGINES",
     "EnsembleResult",
     "IncrementalPropensities",
@@ -199,10 +150,8 @@ __all__ = [
     "StochasticSimulator",
     "TauLeapingSimulator",
     "Trajectory",
-    "backend_names",
     "cumulative_propensities",
     "integrate_rk45",
-    "register_backend",
     "run_seeded",
     "select_reaction",
     "simulate",

@@ -30,12 +30,9 @@ ENGINES = ("ode", "ssa", "tau")
 #: migration path: content-addressed caches key on the canonical form.
 OPTIONS_SCHEMA = "repro.options/1"
 
-#: Execution backends accepted by :attr:`SimulationOptions.backend`.
-#: ``reference`` is the per-trial scalar engines; ``batch`` routes
-#: exact SSA through the structure-of-arrays ensemble engine
-#: (:mod:`repro.crn.simulation.batch`), which is seeded-bitwise
-#: identical to the reference.  Engines the batch backend does not
-#: vectorise (ODE, tau-leaping) fall back to the reference path.
+#: Values accepted by :attr:`SimulationOptions.backend`.  Both run the
+#: same engines; ``batch`` is kept so existing option sets and serve
+#: job specs stay valid, and any other value raises.
 BACKENDS = ("reference", "batch")
 
 
@@ -81,11 +78,10 @@ class SimulationOptions:
     tracer / metrics:
         optional telemetry hooks (see :mod:`repro.obs`).
     backend:
-        execution backend (one of :data:`BACKENDS`).  ``"batch"``
-        routes exact SSA through the structure-of-arrays ensemble
-        engine -- bitwise identical trajectories on matched seeds,
-        much faster for ensembles; engines it does not vectorise fall
-        back to the reference implementation.
+        one of :data:`BACKENDS`; validated, but every value runs the
+        same engine (one exact-SSA loop serves single runs and
+        ensembles alike).  An unknown value raises
+        :class:`~repro.errors.SimulationError` at dispatch.
     """
 
     # -- shared ----------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Trajectory container returned by all simulators."""
+"""Result containers: one :class:`Trajectory` per run, and the
+:class:`EnsembleResult` of many seeded runs of one simulator."""
 
 from __future__ import annotations
 
@@ -8,6 +9,11 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from repro.errors import SimulationError
+
+#: Runs per ensemble chunk.  The chunk structure (not the worker count)
+#: fixes the floating-point summation order, so serial and parallel
+#: ensemble means are bitwise identical for the same seed.
+ENSEMBLE_CHUNK_RUNS = 8
 
 
 @runtime_checkable
@@ -246,3 +252,66 @@ class Trajectory:
         return (f"<Trajectory {len(self)} samples, {len(self.names)} species, "
                 f"t in [{self.times[0] if len(self) else 0:g}, "
                 f"{self.t_final if len(self) else 0:g}]>")
+
+
+class EnsembleResult:
+    """Sampled trajectories of one seeded ensemble on a shared grid.
+
+    Attributes
+    ----------
+    times:
+        shared sample grid, shape ``(n_times,)``.
+    states:
+        sampled counts, shape ``(trials, n_times, species)``.
+    names:
+        species names aligned with the last axis.
+    events:
+        per-trial event counts (solver steps for tau-leaping), shape
+        ``(trials,)``.
+    """
+
+    def __init__(self, times: np.ndarray, states: np.ndarray,
+                 names: Sequence[str], events: np.ndarray,
+                 meta: dict | None = None):
+        self.times = times
+        self.states = states
+        self.names = list(names)
+        self.events = events
+        self.meta = dict(meta or {})
+
+    def __len__(self) -> int:
+        return self.states.shape[0]
+
+    def trial(self, i: int) -> Trajectory:
+        """Trial ``i`` as a :class:`Trajectory`."""
+        return Trajectory(self.times, self.states[i], self.names,
+                          {"events": int(self.events[i])})
+
+    def summed_states(self, start: int = 0,
+                      stop: int | None = None) -> np.ndarray:
+        """Sum of ``states[start:stop]``, left-associated in trial order.
+
+        This is the per-chunk accumulation of the ensemble worker, so
+        chunk partials built from it are bitwise identical to summing
+        the individual runs one by one.
+        """
+        stop = len(self) if stop is None else stop
+        acc = self.states[start].copy()
+        for i in range(start + 1, stop):
+            acc += self.states[i]
+        return acc
+
+    def mean(self, chunk_runs: int = ENSEMBLE_CHUNK_RUNS) -> Trajectory:
+        """Ensemble-mean trajectory with the chunked reduction order.
+
+        Trials are summed in chunks of ``chunk_runs`` and the chunk
+        partials combined left to right, the summation tree of
+        ``StochasticSimulator.mean_trajectory``, so on the same seeds
+        the two means are bitwise equal.
+        """
+        n = len(self)
+        acc = self.summed_states(0, min(chunk_runs, n))
+        for i in range(chunk_runs, n, chunk_runs):
+            acc += self.summed_states(i, min(i + chunk_runs, n))
+        return Trajectory(self.times, acc / n, self.names,
+                          {"n_runs": n, "events": int(self.events.sum())})

@@ -23,7 +23,7 @@ and the generator state afterwards are bitwise equal on either path;
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from time import perf_counter
 
 import numpy as np
@@ -32,17 +32,13 @@ from repro.crn import ckinetics
 from repro.crn.kinetics import MassActionKinetics, build_kinetics
 from repro.crn.network import Network
 from repro.crn.rates import RateScheme
-from repro.crn.simulation.result import Trajectory
+from repro.crn.simulation.result import (ENSEMBLE_CHUNK_RUNS,
+                                         EnsembleResult, Trajectory)
 from repro.crn.simulation.sampling import (NO_POSITIVE_PROPENSITY,
                                            select_reaction)
 from repro.errors import SimulationError
 from repro.obs.metrics import ensure_metrics
 from repro.obs.tracer import ensure_tracer
-
-#: Runs per ensemble chunk.  The chunk structure (not the worker count)
-#: fixes the floating-point summation order, so serial and parallel
-#: ensemble means are bitwise identical for the same seed.
-ENSEMBLE_CHUNK_RUNS = 8
 
 #: Events between exact full-propensity rebuilds in
 #: :class:`IncrementalPropensities`.  The order<=2 incremental updates
@@ -296,11 +292,6 @@ class StochasticSimulator:
 
     _batch_kind = "ssa"
 
-    #: Whether the structure-of-arrays ensemble engine can run this
-    #: simulator's ensembles (exact SSA only; tau-leaping's adaptive
-    #: control flow cannot be vectorised while preserving draw order).
-    _supports_batch_ensembles = True
-
     def __init__(self, network: Network, scheme: RateScheme | None = None,
                  rates: np.ndarray | None = None, volume: float = 1.0,
                  seed: int | np.random.Generator | None = None,
@@ -436,6 +427,84 @@ class StochasticSimulator:
             self._seed_seq = np.random.SeedSequence(entropy)
         return self._seed_seq.spawn(n_runs)
 
+    def simulate_ensemble(self, t_final: float, n_trials: int | None = None,
+                          *, seeds: Sequence | None = None,
+                          t_start: float = 0.0,
+                          initial: Mapping[str, float] | np.ndarray
+                          | None = None,
+                          n_samples: int = 200,
+                          max_events: int | None = None
+                          ) -> EnsembleResult:
+        """Many seeded runs of this simulator on one shared sample grid.
+
+        Trial ``i`` runs :meth:`simulate` with
+        ``self.rng = np.random.default_rng(seeds[i])``, so it is the
+        realisation a fresh simulator seeded with ``seeds[i]`` gives,
+        bitwise; nothing else is rebuilt between trials.  ``self.rng``
+        is restored afterwards, also when a trial raises.
+
+        Parameters
+        ----------
+        n_trials:
+            ensemble size when ``seeds`` is not given; the per-trial
+            seeds are then spawned from the simulator's root
+            :class:`~numpy.random.SeedSequence`, as in
+            :meth:`mean_trajectory`.
+        seeds:
+            explicit per-trial seeds: ints, ``SeedSequence`` or
+            ``Generator`` objects.
+        max_events:
+            per-trial budget; ``None`` keeps the engine's default.  A
+            trial over it raises :class:`SimulationError` naming the
+            trial.
+        """
+        if t_final <= t_start:
+            raise SimulationError("t_final must exceed t_start")
+        if seeds is None:
+            if n_trials is None:
+                raise SimulationError(
+                    "simulate_ensemble needs n_trials or an explicit "
+                    "seeds sequence")
+            if n_trials < 1:
+                raise SimulationError("n_trials must be >= 1")
+            seeds = self._spawn_run_seeds(int(n_trials))
+        else:
+            seeds = list(seeds)
+            if n_trials is not None and int(n_trials) != len(seeds):
+                raise SimulationError(
+                    f"n_trials={n_trials} disagrees with {len(seeds)} "
+                    f"explicit seeds")
+            if not seeds:
+                raise SimulationError("seeds must be non-empty")
+        kwargs = {} if max_events is None else {"max_events": max_events}
+        runs = []
+        caller_rng = self.rng
+        try:
+            for index, seed in enumerate(seeds):
+                self.rng = np.random.default_rng(seed)
+                try:
+                    run = self.simulate(t_final, t_start=t_start,
+                                        initial=initial,
+                                        n_samples=n_samples, **kwargs)
+                except SimulationError as exc:
+                    raise SimulationError(
+                        f"{exc} (ensemble trial {index})") from exc
+                if runs and not np.array_equal(run.times, runs[0].times):
+                    raise SimulationError(
+                        f"ensemble trial {index} returned a misaligned "
+                        f"sample grid (size {run.times.size} vs "
+                        f"{runs[0].times.size}); refusing to stack "
+                        f"mismatched states")
+                runs.append(run)
+        finally:
+            self.rng = caller_rng
+        events = np.array([run.meta.get("events", run.meta.get("steps", 0))
+                           for run in runs], dtype=np.int64)
+        return EnsembleResult(runs[0].times,
+                              np.stack([run.states for run in runs]),
+                              self.network.species_names, events,
+                              {"t_start": t_start, "t_final": t_final})
+
     def mean_trajectory(self, t_final: float, n_runs: int,
                         n_samples: int = 100, *,
                         n_workers: int | None = None,
@@ -444,59 +513,36 @@ class StochasticSimulator:
         """Sample mean over ``n_runs`` independent realisations.
 
         Each run gets its own spawned seed, and runs are summed in fixed
-        chunks of :data:`ENSEMBLE_CHUNK_RUNS`, so the result is bitwise
-        identical whether the ensemble executes serially (``n_workers``
+        chunks of :data:`ENSEMBLE_CHUNK_RUNS` (one
+        :meth:`simulate_ensemble` per chunk), so the result is bitwise
+        identical whether the chunks run serially (``n_workers``
         ``None``/1) or through a
         :class:`~repro.crn.simulation.sweep.ParallelSweepRunner` pool.
-
-        ``backend="batch"`` computes each chunk through the
-        structure-of-arrays ensemble engine (one batched call for all
-        seeds when running serially); per-trial realisations and the
-        chunk-ordered reduction are bitwise identical to the reference
-        path, so this changes wall time only.  Simulators the batch
-        engine cannot vectorise (tau-leaping) fall back to reference.
+        ``backend`` is validated against
+        :data:`~repro.crn.simulation.options.BACKENDS`; every value runs
+        this same path.
         """
-        from repro.crn.simulation.sweep import (ENSEMBLE_BACKENDS,
-                                                ParallelSweepRunner,
+        from repro.crn.simulation.options import BACKENDS
+        from repro.crn.simulation.sweep import (ParallelSweepRunner,
                                                 simulate_mean_chunk)
 
         if n_runs < 1:
             raise SimulationError("n_runs must be >= 1")
-        if backend not in ENSEMBLE_BACKENDS:
+        if backend not in BACKENDS:
             raise SimulationError(
                 f"unknown ensemble backend {backend!r}; expected one of "
-                f"{ENSEMBLE_BACKENDS}")
+                f"{BACKENDS}")
         telemetry = self.tracer.enabled or self.metrics.enabled
         wall_start = perf_counter() if telemetry else 0.0
         seeds = self._spawn_run_seeds(n_runs)
-        runner = ParallelSweepRunner(n_workers)
-        use_batch = backend == "batch" and self._supports_batch_ensembles
-        if use_batch and (runner.n_workers <= 1 or n_runs
-                          <= ENSEMBLE_CHUNK_RUNS):
-            # Serial: one structure-of-arrays call over every seed
-            # (EnsembleResult.mean applies the same chunked reduction).
-            from repro.crn.simulation.batch import BatchStochasticSimulator
-
-            batch = BatchStochasticSimulator(
-                self.network, rates=np.asarray(self.kinetics.rates),
-                volume=self.volume)
-            mean = batch.simulate_ensemble(
-                t_final, seeds=seeds, n_samples=n_samples,
-                **kwargs).mean()
-            if telemetry:
-                self._record_batch(
-                    self._batch_kind, t_final, int(mean.meta["events"]),
-                    perf_counter() - wall_start,
-                    extra={"ensemble_runs": n_runs})
-            return mean
         spec = self._clone_spec()
-        spec["backend"] = backend
         payloads = [
             (spec, seeds[i:i + ENSEMBLE_CHUNK_RUNS], t_final, n_samples,
              kwargs)
             for i in range(0, n_runs, ENSEMBLE_CHUNK_RUNS)
         ]
-        partials = runner.map(simulate_mean_chunk, payloads)
+        partials = ParallelSweepRunner(n_workers).map(simulate_mean_chunk,
+                                                      payloads)
         times, accumulator, events = partials[0]
         accumulator = accumulator.copy()
         for index, (chunk_times, states, chunk_events) in \

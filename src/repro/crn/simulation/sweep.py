@@ -10,28 +10,25 @@ chunking on the caller side, serial and parallel execution produce
 bitwise-identical reductions.
 
 ``simulate_mean_chunk`` is the worker for stochastic ensembles: it
-rebuilds a simulator from a constructor spec (see
-``StochasticSimulator._clone_spec``) per run and sums the sampled
-states over the chunk's seeds.
+builds one simulator from a constructor spec (see
+``StochasticSimulator._clone_spec``) and sums the sampled states of one
+:meth:`~repro.crn.simulation.ssa.StochasticSimulator.simulate_ensemble`
+over the chunk's seeds.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
-from repro.errors import SimulationError
-
-#: Ensemble execution backends understood by ``simulate_mean_chunk``.
-#: ``reference`` runs one scalar simulator per seed; ``batch`` runs the
-#: whole chunk through the structure-of-arrays engine
-#: (:mod:`repro.crn.simulation.batch`) when the spec's simulator class
-#: supports it -- bitwise-identical states either way.
-ENSEMBLE_BACKENDS = ("reference", "batch")
+#: Set once this process has warned that it runs payloads serially
+#: because no process pool could run them.
+_serial_fallback_warned = False
 
 
 class ParallelSweepRunner:
@@ -43,7 +40,9 @@ class ParallelSweepRunner:
         ``None`` uses the machine's CPU count; ``<= 1`` forces serial
         execution in-process.  A pool that cannot be created or breaks
         mid-flight (sandboxed environments, fork limits) degrades to the
-        serial path, which computes the identical result.
+        serial path, which computes the identical result; the first such
+        fallback in a process emits one :class:`RuntimeWarning` naming
+        the exception.
     """
 
     def __init__(self, n_workers: int | None = None):
@@ -60,8 +59,21 @@ class ParallelSweepRunner:
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 return list(pool.map(fn, payloads))
-        except (OSError, BrokenProcessPool):
+        except (OSError, BrokenProcessPool) as exc:
+            _warn_serial_fallback(exc)
             return [fn(p) for p in payloads]
+
+
+def _warn_serial_fallback(exc: BaseException) -> None:
+    """One :class:`RuntimeWarning` per process for a pool fallback."""
+    global _serial_fallback_warned
+    if _serial_fallback_warned:
+        return
+    _serial_fallback_warned = True
+    warnings.warn(
+        f"process pool unavailable ({type(exc).__name__}: {exc}); "
+        f"running the payloads serially in this process (warned once "
+        f"per process)", RuntimeWarning, stacklevel=3)
 
 
 def simulate_mean_chunk(payload: tuple) -> tuple[np.ndarray, np.ndarray,
@@ -70,56 +82,16 @@ def simulate_mean_chunk(payload: tuple) -> tuple[np.ndarray, np.ndarray,
 
     ``payload`` is ``(spec, seeds, t_final, n_samples, kwargs)`` where
     ``spec`` is a simulator constructor spec and ``seeds`` a sequence of
-    per-run :class:`~numpy.random.SeedSequence`.  Returns the shared
-    sample times, the per-chunk state sum, and the total event count.
-
-    ``spec["backend"]`` (default ``"reference"``) selects how the chunk
-    executes: ``"batch"`` runs every seed through one
-    structure-of-arrays ensemble call when the simulator class supports
-    it, producing the bitwise-identical chunk sum.  Runs within a chunk
-    must agree on the sample grid; a run that comes back misaligned
-    raises :class:`~repro.errors.SimulationError` naming the offending
-    chunk run instead of silently summing mismatched states.
+    per-run :class:`~numpy.random.SeedSequence`.  One simulator runs
+    every seed (``simulate_ensemble``); returns the shared sample times,
+    the chunk's state sum in seed order, and the total event count.
     """
     spec, seeds, t_final, n_samples, kwargs = payload
-    backend = spec.get("backend", "reference")
-    if backend not in ENSEMBLE_BACKENDS:
-        raise SimulationError(
-            f"unknown ensemble backend {backend!r}; expected one of "
-            f"{ENSEMBLE_BACKENDS}")
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("empty seed chunk")
-    if backend == "batch" and getattr(spec["cls"],
-                                      "_supports_batch_ensembles", False):
-        from repro.crn.simulation.batch import BatchStochasticSimulator
-
-        simulator = BatchStochasticSimulator(
-            spec["network"], rates=spec["rates"], volume=spec["volume"])
-        result = simulator.simulate_ensemble(
-            t_final, seeds=seeds, n_samples=n_samples, **kwargs)
-        return result.times, result.summed_states(), \
-            int(result.events.sum())
-    times: np.ndarray | None = None
-    acc: np.ndarray | None = None
-    events = 0
-    for index, seed in enumerate(seeds):
-        simulator = spec["cls"](
-            spec["network"], rates=spec["rates"], volume=spec["volume"],
-            seed=np.random.default_rng(seed), **spec["extra"])
-        run = simulator.simulate(t_final, n_samples=n_samples, **kwargs)
-        if acc is None:
-            times = run.times
-            acc = run.states.copy()
-        elif not np.array_equal(run.times, times):
-            raise SimulationError(
-                f"ensemble chunk run {index} returned a misaligned "
-                f"sample grid (size {run.times.size} vs {times.size}); "
-                f"refusing to sum mismatched states")
-        else:
-            acc += run.states
-        events += int(run.meta.get("events", run.meta.get("steps", 0)))
-    return times, acc, events
+    simulator = spec["cls"](spec["network"], rates=spec["rates"],
+                            volume=spec["volume"], **spec["extra"])
+    result = simulator.simulate_ensemble(t_final, seeds=seeds,
+                                         n_samples=n_samples, **kwargs)
+    return result.times, result.summed_states(), int(result.events.sum())
 
 
 def run_seeded(fn: Callable, payloads: Sequence,

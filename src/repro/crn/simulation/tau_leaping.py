@@ -32,17 +32,14 @@ from repro.errors import SimulationError
 class TauLeapingSimulator(StochasticSimulator):
     """Tau-leaping variant of :class:`StochasticSimulator`.
 
-    The structure-of-arrays ensemble backend cannot vectorise the
-    adaptive leap-size control flow while preserving the seeded draw
-    order, so tau-leaping ensembles always execute on the reference
-    per-run path whatever ``backend`` a caller selects.  The exact-SSA
-    fallback bursts share :class:`IncrementalPropensities` with the SSA
-    engine, so they inherit its clamped, periodically-rebuilt
-    propensity updates.
+    Ensembles run through the inherited
+    :meth:`~StochasticSimulator.simulate_ensemble`, one simulator with
+    its generator swapped per seed.  The exact-SSA fallback bursts share
+    :class:`IncrementalPropensities` with the SSA engine, so they
+    inherit its clamped, periodically-rebuilt propensity updates.
     """
 
     _batch_kind = "tau"
-    _supports_batch_ensembles = False
 
     def __init__(self, network: Network, scheme: RateScheme | None = None,
                  epsilon: float = 0.03, n_critical: int = 10, **kwargs):

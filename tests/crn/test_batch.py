@@ -1,10 +1,11 @@
-"""Batched structure-of-arrays ensemble engine (PR 8).
+"""Seeded SSA ensembles through ``StochasticSimulator.simulate_ensemble``.
 
-The contract under test is *bitwise* equivalence: a seeded trial run
-through :class:`BatchStochasticSimulator` must reproduce the reference
-:class:`StochasticSimulator` realisation exactly -- states, sample
-grid and event count -- so cached baselines and seeded corpora stay
-valid whichever backend executes them.
+The contract under test is *bitwise* equivalence: trial ``i`` of an
+ensemble (one simulator reused across the seeds) must reproduce the
+realisation of a fresh :class:`StochasticSimulator` on seed ``i``
+exactly -- states, sample grid and event count -- so cached baselines
+and seeded corpora stay valid.  ``SimulationOptions(backend="batch")``
+is a validated no-op and must keep giving the reference result.
 """
 
 import numpy as np
@@ -14,10 +15,8 @@ from hypothesis import strategies as st
 
 from repro.conformance.generator import BUDGETS, generate_targets
 from repro.crn.network import Network
-from repro.crn.simulation import (SimulationOptions, backend_names,
-                                  register_backend, simulate)
-from repro.crn.simulation.batch import (BatchStochasticSimulator,
-                                        EnsembleResult)
+from repro.crn.simulation import SimulationOptions, simulate
+from repro.crn.simulation.result import EnsembleResult
 from repro.crn.simulation.ssa import StochasticSimulator
 from repro.crn.simulation.sweep import simulate_mean_chunk
 from repro.crn.simulation.result import Trajectory
@@ -65,7 +64,7 @@ class TestBitwiseEquivalence:
     def test_chain_network_matches_reference(self):
         network = _chain()
         seeds = np.random.SeedSequence(42).spawn(24)
-        ensemble = BatchStochasticSimulator(network).simulate_ensemble(
+        ensemble = StochasticSimulator(network).simulate_ensemble(
             3.0, seeds=seeds, n_samples=40)
         _assert_trials_match(
             ensemble, _reference_runs(network, seeds, 3.0))
@@ -73,16 +72,17 @@ class TestBitwiseEquivalence:
     def test_absorbing_network_matches_reference(self):
         seeds = np.random.SeedSequence(7).spawn(16)
         network = _decay(x0=5)
-        ensemble = BatchStochasticSimulator(network).simulate_ensemble(
+        ensemble = StochasticSimulator(network).simulate_ensemble(
             50.0, seeds=seeds, n_samples=25)
         runs = _reference_runs(network, seeds, 50.0, n_samples=25)
         _assert_trials_match(ensemble, runs)
-        assert ensemble.absorbed.all()
+        a = network.species_names.index("A")
+        assert np.all(ensemble.states[:, -1, a] == 0)
 
     @pytest.mark.parametrize("budget_name", ["tiny", "small"])
     def test_generator_corpus_matches_reference(self, budget_name):
         """Every stochastic conformance-generator target is bitwise
-        identical between backends on matched per-trial seeds."""
+        identical between ensemble trials and fresh per-seed runs."""
         budget = BUDGETS[budget_name]
         checked = 0
         for index, target in enumerate(generate_targets(budget, seed=3)):
@@ -94,7 +94,7 @@ class TestBitwiseEquivalence:
             try:
                 runs = _reference_runs(target.network, seeds, t_final,
                                        n_samples=17, rates=rates)
-                ensemble = BatchStochasticSimulator(
+                ensemble = StochasticSimulator(
                     target.network, rates=rates).simulate_ensemble(
                         t_final, seeds=seeds, n_samples=17)
             except SimulationError:
@@ -106,7 +106,7 @@ class TestBitwiseEquivalence:
     def test_t_start_shift_matches_reference(self):
         network = _chain()
         seeds = np.random.SeedSequence(5).spawn(6)
-        ensemble = BatchStochasticSimulator(network).simulate_ensemble(
+        ensemble = StochasticSimulator(network).simulate_ensemble(
             4.0, seeds=seeds, t_start=1.0, n_samples=33)
         runs = []
         for seed in seeds:
@@ -115,32 +115,6 @@ class TestBitwiseEquivalence:
             runs.append(simulator.simulate(4.0, t_start=1.0,
                                            n_samples=33))
         _assert_trials_match(ensemble, runs)
-
-    def test_per_trial_rates_match_reference(self):
-        network = _chain()
-        seeds = np.random.SeedSequence(8).spawn(10)
-        rng = np.random.default_rng(123)
-        draws = rng.uniform(0.2, 3.0, size=(10, network.n_reactions))
-        ensemble = BatchStochasticSimulator(network).simulate_ensemble(
-            2.0, seeds=seeds, rates=draws, n_samples=21)
-        for i, seed in enumerate(seeds):
-            run = _reference_runs(network, [seed], 2.0, n_samples=21,
-                                  rates=draws[i])[0]
-            trial = ensemble.trial(i)
-            assert np.array_equal(trial.states, run.states)
-            assert trial.meta["events"] == run.meta["events"]
-
-    def test_per_trial_initials_and_volume_match_reference(self):
-        network = _chain()
-        seeds = np.random.SeedSequence(9).spawn(6)
-        initials = [{"A": 10 + 5 * i} for i in range(6)]
-        ensemble = BatchStochasticSimulator(
-            network, volume=2.5).simulate_ensemble(
-                2.0, seeds=seeds, initial=initials, n_samples=21)
-        for i, seed in enumerate(seeds):
-            run = _reference_runs(network, [seed], 2.0, n_samples=21,
-                                  volume=2.5, initial=initials[i])[0]
-            assert np.array_equal(ensemble.trial(i).states, run.states)
 
     def test_mean_matches_mean_trajectory_serial_and_pooled(self):
         network = _chain()
@@ -154,7 +128,10 @@ class TestBitwiseEquivalence:
             network, seed=17).mean_trajectory(
                 2.0, n_runs=24, n_samples=31, n_workers=2,
                 backend="batch")
-        for candidate in (batch_serial, batch_pooled):
+        ensemble_mean = StochasticSimulator(
+            network, seed=17).simulate_ensemble(
+                2.0, n_trials=24, n_samples=31).mean()
+        for candidate in (batch_serial, batch_pooled, ensemble_mean):
             assert np.array_equal(candidate.states, reference.states)
             assert candidate.meta == reference.meta
 
@@ -182,50 +159,27 @@ class TestFacadeRouting:
             simulate(_chain(), 1.0, "ssa",
                      options=SimulationOptions(backend="gpu"))
 
-    def test_registry_lists_backends(self):
-        names = backend_names()
-        assert "reference" in names and "batch" in names
-
-    def test_registered_backend_receives_dispatch(self):
-        from repro.crn.simulation import _BACKEND_DISPATCH
-
-        seen = {}
-
-        def probe(engine, network, t_final, scheme, options):
-            seen["engine"] = engine
-            return simulate(network, t_final, engine, scheme=scheme)
-
-        register_backend("probe-backend", probe)
-        try:
-            result = simulate(_chain(), 1.0, "ode",
-                              options=SimulationOptions(
-                                  backend="probe-backend"))
-            assert seen["engine"] == "ode"
-            assert result.states.shape[0] > 0
-        finally:
-            _BACKEND_DISPATCH.pop("probe-backend", None)
-
 
 class TestEnsembleSemantics:
     def test_max_events_raises_with_trial_index(self):
         network = _chain(x0=200)
         seeds = np.random.SeedSequence(1).spawn(4)
         with pytest.raises(SimulationError, match="ensemble trial"):
-            BatchStochasticSimulator(network).simulate_ensemble(
+            StochasticSimulator(network).simulate_ensemble(
                 5.0, seeds=seeds, max_events=10)
 
     def test_n_trials_spawning_matches_explicit_root(self):
         network = _chain()
-        first = BatchStochasticSimulator(
+        first = StochasticSimulator(
             network, seed=3).simulate_ensemble(1.0, n_trials=5,
                                                n_samples=11)
         seeds = np.random.SeedSequence(3).spawn(5)
-        second = BatchStochasticSimulator(network).simulate_ensemble(
+        second = StochasticSimulator(network).simulate_ensemble(
             1.0, seeds=seeds, n_samples=11)
         assert np.array_equal(first.states, second.states)
 
     def test_invalid_ensemble_arguments(self):
-        simulator = BatchStochasticSimulator(_chain())
+        simulator = StochasticSimulator(_chain())
         with pytest.raises(SimulationError, match="n_trials"):
             simulator.simulate_ensemble(1.0)
         with pytest.raises(SimulationError, match="disagrees"):
@@ -237,7 +191,7 @@ class TestEnsembleSemantics:
             simulator.simulate_ensemble(0.0, 2)
 
 
-# -- active-mask freeze properties (hypothesis) ----------------------------
+# -- per-trial properties (hypothesis) ------------------------------------
 
 _FREEZE_SETTINGS = settings(
     max_examples=20, deadline=None,
@@ -250,33 +204,33 @@ class TestFreezeProperties:
            x0=st.integers(min_value=0, max_value=25))
     @_FREEZE_SETTINGS
     def test_absorbed_trials_stay_absorbed(self, seed, n_trials, x0):
-        """Once a trial's total propensity hits zero it is frozen: the
-        recorded tail repeats the absorbing state and no further events
-        fire, however ragged the rest of the batch still is."""
+        """Once a trial's total propensity hits zero its samples stay
+        constant: the recorded tail repeats the absorbing state and no
+        further events fire, whatever the other trials still do."""
         network = _decay(x0=x0)
-        ensemble = BatchStochasticSimulator(
+        ensemble = StochasticSimulator(
             network, seed=seed).simulate_ensemble(
                 200.0, n_trials=n_trials, n_samples=15)
         a = ensemble.states[:, :, network.species_names.index("A")]
         assert np.all(np.diff(a, axis=1) <= 0)
         for i in range(n_trials):
             assert ensemble.events[i] == x0 - a[i, -1]
-            if ensemble.absorbed[i]:
-                assert a[i, -1] == 0
-                frozen = np.nonzero(a[i] == 0)[0]
-                assert np.all(a[i, frozen[0]:] == 0)
+            frozen = np.nonzero(a[i] == 0)[0]
+            if frozen.size:
+                assert np.all(ensemble.states[i, frozen[0]:]
+                              == ensemble.states[i, -1])
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            n_trials=st.integers(min_value=1, max_value=8))
     @_FREEZE_SETTINGS
     def test_no_post_horizon_events(self, seed, n_trials):
-        """A trial that crosses ``t_final`` is retired immediately:
+        """A trial stops at the first event past ``t_final``:
         extending the horizon with the same seeds replays the short
         ensemble's samples exactly (prefix property), so no short-run
-        trial can have consumed post-horizon draws."""
+        trial can have recorded post-horizon events."""
         network = _chain(x0=15)
         seeds = np.random.SeedSequence(seed).spawn(n_trials)
-        simulator = BatchStochasticSimulator(network)
+        simulator = StochasticSimulator(network)
         short = simulator.simulate_ensemble(1.0, seeds=seeds,
                                             n_samples=11)
         long = simulator.simulate_ensemble(2.0, seeds=seeds,
@@ -292,25 +246,26 @@ class TestFreezeProperties:
     @_FREEZE_SETTINGS
     def test_trial_views_match_bulk_arrays(self, seed):
         network = _chain(x0=10)
-        ensemble = BatchStochasticSimulator(
+        ensemble = StochasticSimulator(
             network, seed=seed).simulate_ensemble(1.0, n_trials=4,
                                                   n_samples=9)
-        for i, trial in enumerate(ensemble.trials()):
+        for i in range(len(ensemble)):
+            trial = ensemble.trial(i)
+            assert np.array_equal(trial.times, ensemble.times)
             assert np.array_equal(trial.states, ensemble.states[i])
-        assert np.array_equal(ensemble.final_states(),
-                              ensemble.states[:, -1])
+            assert trial.meta["events"] == ensemble.events[i]
 
 
 # -- ensemble chunk grid validation ----------------------------------------
 
-class _VaryingGridSimulator:
-    """Stub whose sample grid drifts between constructions."""
+class _VaryingGridSimulator(StochasticSimulator):
+    """Stub whose sample grid drifts between runs."""
 
     calls = 0
-    _supports_batch_ensembles = False
 
     def __init__(self, network, rates=None, volume=1.0, seed=None):
         self.network = network
+        self.rng = None
 
     def simulate(self, t_final, n_samples=10, **kwargs):
         cls = type(self)
@@ -330,15 +285,7 @@ class TestChunkGridValidation:
                 "rates": None, "volume": 1.0, "extra": {}}
         seeds = np.random.SeedSequence(0).spawn(3)
         with pytest.raises(SimulationError,
-                           match="chunk run 1 .*misaligned"):
-            simulate_mean_chunk((spec, seeds, 1.0, 10, {}))
-
-    def test_unknown_chunk_backend_raises(self):
-        spec = {"cls": StochasticSimulator, "network": _decay(),
-                "rates": None, "volume": 1.0, "extra": {},
-                "backend": "quantum"}
-        seeds = np.random.SeedSequence(0).spawn(2)
-        with pytest.raises(SimulationError, match="quantum"):
+                           match="trial 1 .*misaligned"):
             simulate_mean_chunk((spec, seeds, 1.0, 10, {}))
 
     def test_cross_chunk_mismatch_raises_with_chunk_index(self,
@@ -369,7 +316,7 @@ class TestChunkGridValidation:
 class TestEnsembleResult:
     def test_summed_states_matches_left_associated_sum(self):
         network = _chain()
-        ensemble = BatchStochasticSimulator(
+        ensemble = StochasticSimulator(
             network, seed=2).simulate_ensemble(1.0, n_trials=9,
                                                n_samples=7)
         expected = ensemble.states[0].copy()
@@ -378,7 +325,7 @@ class TestEnsembleResult:
         assert np.array_equal(ensemble.summed_states(), expected)
 
     def test_len_and_meta(self):
-        ensemble = BatchStochasticSimulator(
+        ensemble = StochasticSimulator(
             _decay(), seed=1).simulate_ensemble(1.0, n_trials=3,
                                                 n_samples=5)
         assert len(ensemble) == 3

@@ -1,8 +1,11 @@
 """Tests for the parallel sweep runner and ensemble determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+import repro.crn.simulation.sweep as sweep
 from repro.crn.network import Network
 from repro.crn.simulation import ParallelSweepRunner, run_seeded
 from repro.crn.simulation.ssa import StochasticSimulator
@@ -31,6 +34,23 @@ class TestRunner:
 
     def test_run_seeded_wrapper(self):
         assert run_seeded(_square, [2, 3], n_workers=2) == [4, 9]
+
+    def test_pool_fallback_warns_once_per_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(sweep, "_serial_fallback_warned", False)
+        runner = ParallelSweepRunner(n_workers=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            first = runner.map(_square, [3, 1, 4])
+            second = runner.map(_square, [2, 7])
+        assert (first, second) == ([9, 1, 16], [4, 49])
+        fallback = [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+        assert len(fallback) == 1
+        assert "OSError: fork refused" in str(fallback[0].message)
 
 
 class TestEnsembleDeterminism:
